@@ -3,9 +3,23 @@
 Loops at the base vertex, read as words in the non-tree edges of a
 breadth-first spanning tree, present a group whose relators come from
 the 3- and 4-cycles of the graph; triangles and squares bound, longer
-cycles do not.  Equivalence of loops is decided algebraically when the
-simplified presentation is free, and otherwise attempted by a bounded
-search over grid deformations.
+cycles do not.
+
+Equivalence of two loops is decided on the word of one loop times the
+inverse of the other, in the coordinates of the Tietze-simplified
+presentation, by the first rung that settles it:
+
+1. words: the word is freely trivial before or after rewriting, so the
+   loops are equal;
+2. abelianization: its exponent vector lies outside the relator
+   lattice, so the loops are distinct;
+3. abelian: the relators include the commutator of every pair of
+   generators, so the group is Z^k modulo the relator lattice and
+   lattice membership means the loops are equal;
+4. free-words: no relator is left, so the group is free and the
+   nontrivial reduced word means the loops are distinct;
+5. search: a bounded search over grid deformations, which either finds
+   a certificate of equality or answers unknown.
 """
 
 from __future__ import annotations
@@ -19,16 +33,22 @@ from .presentations import (
     GroupPresentation,
     abelianization,
     AbelianInvariants,
+    canonical_relator,
+    echelon_basis,
     exponent_vector,
     free_reduce,
-    in_row_lattice,
     invert_word,
+    lattice_contains,
     tietze_with_rewriter,
 )
 
 EQUAL = "equal"
 DISTINCT = "distinct"
 UNKNOWN = "unknown"
+
+# Presentation data is kept per (graph, base) for the most recently used
+# graphs; a working set of a few dozen graphs stays warm.
+_CACHED_GRAPHS = 64
 
 
 def small_cycles(g: Graph) -> list[tuple[str, ...]]:
@@ -78,7 +98,7 @@ def spanning_tree(g: Graph, base) -> dict[str, str]:
     return parent
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_GRAPHS)
 def _presentation_data(g: Graph, base: str):
     comp = component_of(g, base)
     if len(comp) < len(g.vertices):
@@ -109,18 +129,25 @@ def _presentation_data(g: Graph, base: str):
                 word.append(x)
         relators.append(tuple(word))
     presentation = GroupPresentation(names, tuple(relators))
-    return sub, gen_edges, letter, presentation
+    return gen_edges, letter, presentation
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHED_GRAPHS)
 def _equivalence_data(g: Graph, base: str):
-    sub, gen_edges, letter, presentation = _presentation_data(g, base)
-    tietze = tietze_with_rewriter(presentation)
-    rows = tuple(
-        tuple(exponent_vector(r, len(presentation.generators)))
-        for r in presentation.relators
+    """The simplified presentation with its rewriter, a Hermite basis of
+    its relator lattice, and whether its relators include every
+    generator commutator (then the group is abelian)."""
+    tietze = tietze_with_rewriter(_presentation_data(g, base)[2])
+    simplified = tietze.presentation
+    k = len(simplified.generators)
+    basis = echelon_basis((exponent_vector(r, k) for r in simplified.relators), k)
+    relators = {canonical_relator(r) for r in simplified.relators}
+    abelian = all(
+        canonical_relator((i, j, -i, -j)) in relators
+        for i in range(1, k + 1)
+        for j in range(i + 1, k + 1)
     )
-    return tietze, rows
+    return tietze, basis, abelian
 
 
 def a1_presentation(g: Graph, base=None) -> GroupPresentation:
@@ -128,18 +155,21 @@ def a1_presentation(g: Graph, base=None) -> GroupPresentation:
     edge of the base component, one relator per 3- or 4-cycle read along
     its canonical traversal (tree edges contribute nothing)."""
     base = g.require_base(base)
-    return _presentation_data(g, base)[3]
+    return _presentation_data(g, base)[2]
 
 
 def a1_generator_edges(g: Graph, base=None) -> tuple[tuple[str, str], ...]:
     """The non-tree edges the presentation generators stand for, in
     generator order."""
     base = g.require_base(base)
-    return _presentation_data(g, base)[1]
+    return _presentation_data(g, base)[0]
 
 
 def a1_invariants(g: Graph, base=None) -> AbelianInvariants:
-    return abelianization(a1_presentation(g, base))
+    """Abelian invariants of the based loop group, read off the
+    simplified presentation."""
+    base = g.require_base(base)
+    return abelianization(_equivalence_data(g, base)[0].presentation)
 
 
 def loop_to_word(loop, g: Graph, base=None) -> tuple[int, ...]:
@@ -147,7 +177,7 @@ def loop_to_word(loop, g: Graph, base=None) -> tuple[int, ...]:
     generators.  Stationary steps and tree edges contribute nothing."""
     base = g.require_base(base)
     walk = check_walk(g, loop, start=base, end=base)
-    _, _, letter, _ = _presentation_data(g, base)
+    _, letter, _ = _presentation_data(g, base)
     word = []
     for a, b in zip(walk, walk[1:]):
         if a == b:
@@ -161,10 +191,11 @@ def loop_to_word(loop, g: Graph, base=None) -> tuple[int, ...]:
 def loops_equivalent_detail(l1, l2, g: Graph, base=None, box=None, max_layers=6):
     """Decide whether two based loops are homotopic, reporting how.
 
-    Returns (status, method, certificate): "equal" with method "words"
-    or "search" (the latter with an explicit certificate), "distinct"
-    with method "abelianization" or "free-words", or "unknown" with
-    neither.
+    Returns (status, method, certificate), the method naming the rung
+    that settled it (see the module docstring for their order): "equal"
+    with method "words", "abelian" or "search" (the last with an
+    explicit certificate), "distinct" with method "abelianization" or
+    "free-words", or "unknown" with neither.
     """
     base = g.require_base(base)
     w1 = loop_to_word(l1, g, base)
@@ -172,16 +203,18 @@ def loops_equivalent_detail(l1, l2, g: Graph, base=None, box=None, max_layers=6)
     diff = free_reduce(w1 + invert_word(w2))
     if not diff:
         return EQUAL, "words", None
-    tietze, rows = _equivalence_data(g, base)
+    tietze, basis, abelian = _equivalence_data(g, base)
     rewritten = tietze.rewrite(diff)
     if not rewritten:
         # The rewrite map is an isomorphism onto the simplified group, so a
         # freely trivial image is trivial regardless of leftover relators.
         return EQUAL, "words", None
-    ngens = len(tietze.original.generators)
-    if not in_row_lattice([list(r) for r in rows], exponent_vector(diff, ngens)):
+    simplified = tietze.presentation
+    if not lattice_contains(basis, exponent_vector(rewritten, len(simplified.generators))):
         return DISTINCT, "abelianization", None
-    if not tietze.presentation.relators:
+    if abelian:
+        return EQUAL, "abelian", None
+    if not simplified.relators:
         return DISTINCT, "free-words", None
     from .grids import bounded_homotopy_search, loop_to_grid
 
@@ -200,9 +233,11 @@ def loops_equivalent(l1, l2, g: Graph, base=None, box=None, max_layers=6) -> str
     """Decide whether two based loops are homotopic.
 
     Returns "equal" when the words agree in the simplified presentation
-    read as a free group, or when a bounded grid search finds an explicit
-    deformation; "distinct" when the abelianized images differ or the
-    free-group word problem separates them; "unknown" otherwise.
+    read as a free group, when the simplified group is visibly abelian
+    and the words agree in it, or when a bounded grid search finds an
+    explicit deformation; "distinct" when the abelianized images differ
+    or the free-group word problem separates them; "unknown" otherwise.
+    The rungs are tried in the order the module docstring gives.
     """
     status, _, _ = loops_equivalent_detail(l1, l2, g, base, box, max_layers)
     return status

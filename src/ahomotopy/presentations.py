@@ -1,5 +1,6 @@
 """Finite group presentations, free-word algebra, Tietze
-simplification, and abelian invariants via integer Smith normal form.
+simplification, abelian invariants via integer Smith normal form, and
+integer lattice membership via Hermite normal form.
 
 A word is a tuple of nonzero ints: letter ``k`` is the k-th generator
 (1-based), ``-k`` its inverse.  Relators are read cyclically, so they
@@ -204,20 +205,69 @@ def smith_diagonal(rows, ncols: int) -> list[int]:
     return diag
 
 
-def in_row_lattice(rows, vec) -> bool:
-    """Is ``vec`` an integer combination of the rows?
+def echelon_basis(rows, ncols: int) -> tuple[tuple[int, ...], ...]:
+    """Basis of the integer row lattice of a matrix, in Hermite normal
+    form: each row's first nonzero entry (its pivot) is positive and
+    lies strictly right of the previous row's, and the entries above a
+    pivot lie in [0, pivot).  Only unimodular row operations are used,
+    so the rows span the same lattice as the input."""
+    a = [list(map(int, r)) for r in rows]
+    for r in a:
+        if len(r) != ncols:
+            raise ValueError("ragged matrix")
+    basis = []
+    for c in range(ncols):
+        active = [r for r in a if r[c]]
+        if not active:
+            continue
+        while True:
+            # Euclid down the column: the least entry divides the others
+            # with remainder until it is the only nonzero one left.
+            piv = min(active, key=lambda r: abs(r[c]))
+            rest = []
+            for r in active:
+                if r is piv:
+                    continue
+                q = r[c] // piv[c]
+                for j in range(c, ncols):
+                    r[j] -= q * piv[j]
+                if r[c]:
+                    rest.append(r)
+            if not rest:
+                break
+            active = rest + [piv]
+        a = [r for r in a if r is not piv and any(r)]
+        if piv[c] < 0:
+            piv = [-x for x in piv]
+        for b in basis:
+            q = b[c] // piv[c]
+            if q:
+                for j in range(c, ncols):
+                    b[j] -= q * piv[j]
+        basis.append(piv)
+    return tuple(tuple(b) for b in basis)
 
-    The row lattice L of ``rows`` sits inside the lattice L' spanned by
-    rows plus vec.  Equal rank and equal invariant factors force
-    ZZ^n/L == ZZ^n/L', and the quotient surjection of a finitely
-    generated abelian group onto an isomorphic one is injective, so
-    L == L' iff the nonzero Smith diagonals agree.
-    """
+
+def lattice_contains(basis, vec) -> bool:
+    """Is ``vec`` in the lattice spanned by an ``echelon_basis``?  Each
+    pivot entry of ``vec`` must be a multiple of the pivot, and once
+    those multiples are subtracted nothing may remain."""
+    v = list(vec)
+    for row in basis:
+        p = next(j for j, x in enumerate(row) if x)
+        q, rem = divmod(v[p], row[p])
+        if rem:
+            return False
+        if q:
+            for j in range(p, len(v)):
+                v[j] -= q * row[j]
+    return not any(v)
+
+
+def in_row_lattice(rows, vec) -> bool:
+    """Is ``vec`` an integer combination of the rows?"""
     vec = list(map(int, vec))
-    n = len(vec)
-    base = [d for d in smith_diagonal(rows, n) if d]
-    ext = [d for d in smith_diagonal(list(rows) + [vec], n) if d]
-    return base == ext
+    return lattice_contains(echelon_basis(rows, len(vec)), vec)
 
 
 def abelianization(p: GroupPresentation) -> AbelianInvariants:

@@ -228,14 +228,25 @@ def test_homotopy_distinct(tmp_path, capsys):
 
 
 def test_homotopy_unknown(tmp_path, capsys):
+    # on the torus the loop group is Z^2, so commuted windings are equal
     torus = renamed_torus()
     path = graph_file(tmp_path, "torus.json", torus)
     xy = "0.0,1.0,2.0,3.0,4.0,0.0,0.1,0.2,0.3,0.4,0.0"
     yx = "0.0,0.1,0.2,0.3,0.4,0.0,1.0,2.0,3.0,4.0,0.0"
-    code, out, err = cli(
-        ["homotopy", path, "--loop", xy, "--loop", yx,
-         "--box", "12", "--max-layers", "1"], capsys
+    argv = ["--loop", xy, "--loop", yx, "--box", "12", "--max-layers", "1"]
+    code, out, err = cli(["homotopy", path, *argv], capsys)
+    assert code == 0
+    assert out == "result=equal method=abelian\n"
+    # a 5-cycle wedged at the base adds a free factor: not abelian, and
+    # one layer of deformation is not enough
+    ring = ["0.0", "w1", "w2", "w3", "w4"]
+    wedged = Graph(
+        list(torus.vertices) + ring[1:],
+        list(torus.edges) + [(ring[k], ring[(k + 1) % 5]) for k in range(5)],
+        base="0.0",
     )
+    path = graph_file(tmp_path, "wedged.json", wedged)
+    code, out, err = cli(["homotopy", path, *argv], capsys)
     assert code == 11
     assert out == "result=unknown\n"
 

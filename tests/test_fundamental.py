@@ -224,19 +224,33 @@ def test_loops_equivalent_free_words_method():
     assert (status, method) == ("distinct", "free-words")
 
 
+def torus_with_wedged_cycle():
+    """C5 x C5 with a 5-cycle sharing only the vertex (0,0)."""
+    t = cartesian_product(cycle_graph(5), cycle_graph(5))
+    ring = ["(0,0)", "w1", "w2", "w3", "w4"]
+    edges = list(t.edges) + [(ring[k], ring[(k + 1) % 5]) for k in range(5)]
+    return Graph(list(t.vertices) + ring[1:], edges, base="(0,0)")
+
+
 def test_loops_equivalent_torus_outcomes():
     g = cartesian_product(cycle_graph(5), cycle_graph(5)).with_base("(0,0)")
     # a face square contracts, and the rewriter already sees it
     square = ["(0,0)", "(1,0)", "(1,1)", "(0,1)", "(0,0)"]
     status, method, cert = loops_equivalent_detail(square, ["(0,0)"], g)
     assert (status, method, cert) == ("equal", "words", None)
-    # commuted windings differ by the one surviving relator; the word
-    # pipeline cannot decide, and one layer of deformation is not enough
+    # commuted windings differ by the one surviving relator, a
+    # commutator, so the group is Z^2 and the abelian rung decides
     horiz = [f"({i % 5},0)" for i in range(6)]
     vert = [f"(0,{j % 5})" for j in range(6)]
     l1 = horiz + vert[1:]
     l2 = vert + horiz[1:]
     status, method, cert = loops_equivalent_detail(l1, l2, g, max_layers=1)
+    assert (status, method, cert) == ("equal", "abelian", None)
+    # a wedged free factor makes the group non-abelian: the word pipeline
+    # cannot decide, and one layer of deformation is not enough
+    w = torus_with_wedged_cycle()
+    assert len(tietze_simplify(a1_presentation(w)).generators) == 3
+    status, method, cert = loops_equivalent_detail(l1, l2, w, max_layers=1)
     assert (status, method, cert) == ("unknown", None, None)
 
 

@@ -1,9 +1,11 @@
-"""Tests for word algebra, Smith normal form, abelian invariants and
-Tietze simplification.  sympy is used only as an oracle."""
+"""Tests for word algebra, Smith normal form, lattice membership,
+abelian invariants and Tietze simplification.  sympy is used only as an
+oracle; hypothesis drives the property tests."""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -14,9 +16,11 @@ from ahomotopy import (
     abelianization,
     canonical_relator,
     cyclic_reduce,
+    echelon_basis,
     free_reduce,
     in_row_lattice,
     invert_word,
+    lattice_contains,
     smith_diagonal,
     substitute,
     tietze_simplify,
@@ -298,3 +302,87 @@ def test_tietze_preserves_abelian_invariants():
         rels = tuple(random_word(rng, ngens, 6) for _ in range(rng.randint(0, 4)))
         p = GroupPresentation(tuple(f"g{i}" for i in range(ngens)), rels)
         assert abelianization(tietze_simplify(p)) == abelianization(p)
+
+
+# ---------------------------------------------------------------- properties
+
+properties = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def presentations(draw, max_gens=4, max_relators=4, max_len=6):
+    ngens = draw(st.integers(1, max_gens))
+    letters = st.integers(1, ngens).flatmap(lambda g: st.sampled_from((g, -g)))
+    words = st.lists(letters, max_size=max_len).map(tuple)
+    rels = draw(st.lists(words, max_size=max_relators))
+    return GroupPresentation(tuple(f"g{i}" for i in range(ngens)), tuple(rels))
+
+
+@st.composite
+def presentation_and_words(draw):
+    p = draw(presentations())
+    n = len(p.generators)
+    letters = st.integers(1, n).flatmap(lambda g: st.sampled_from((g, -g)))
+    words = st.lists(letters, max_size=8).map(tuple)
+    return p, draw(words), draw(words)
+
+
+@st.composite
+def matrix_and_vector(draw):
+    n = draw(st.integers(1, 4))
+    entries = st.integers(-6, 6)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=4))
+    if rows and draw(st.booleans()):
+        # half the cases are members by construction
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        vec = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)]
+    else:
+        vec = draw(st.lists(entries, min_size=n, max_size=n))
+    return rows, vec
+
+
+def smith_member(rows, vec):
+    """Membership by comparing Smith diagonals: the row lattice lies in
+    the lattice with vec added, and equal invariant factors make the
+    inclusion an equality."""
+    n = len(vec)
+    base = [d for d in smith_diagonal(rows, n) if d]
+    ext = [d for d in smith_diagonal(list(rows) + [vec], n) if d]
+    return base == ext
+
+
+@properties
+@given(presentation_and_words())
+def test_property_rewrite_is_homomorphism(case):
+    p, w1, w2 = case
+    res = tietze_with_rewriter(p)
+    assert res.rewrite(w1 + w2) == free_reduce(res.rewrite(w1) + res.rewrite(w2))
+    assert res.rewrite(invert_word(w1)) == invert_word(res.rewrite(w1))
+
+
+@properties
+@given(presentations())
+def test_property_tietze_keeps_abelianization(p):
+    assert abelianization(tietze_with_rewriter(p).presentation) == abelianization(p)
+
+
+@properties
+@given(matrix_and_vector())
+def test_property_echelon_membership_matches_smith(case):
+    rows, vec = case
+    n = len(vec)
+    basis = echelon_basis(rows, n)
+    assert lattice_contains(basis, vec) == smith_member(rows, vec)
+    assert in_row_lattice(rows, vec) == smith_member(rows, vec)
+    # Hermite shape: positive pivots moving right, reduced entries above
+    pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+    assert pivots == sorted(set(pivots))
+    for i, (b, p) in enumerate(zip(basis, pivots)):
+        assert b[p] > 0
+        assert all(0 <= basis[k][p] < b[p] for k in range(i))
+    # the basis spans the rows' lattice: every row is a member, and both
+    # have the same invariant factors
+    assert all(lattice_contains(basis, r) for r in rows)
+    assert [d for d in smith_diagonal(basis, n) if d] == [
+        d for d in smith_diagonal(rows, n) if d
+    ]
